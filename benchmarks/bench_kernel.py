@@ -14,6 +14,12 @@ only on exact ties, which is why the gate is on readings, not ranks).
 Headline assertion (CI gate): the kernel path serves >= 2x the float
 path's queries/sec on the ``hdc_1k`` workload.
 
+A second segment times winner selection on one bank's real row
+readings (64 queries x 1024 rows, k=10): the stable top-k selector
+(:func:`repro.core.kernel.top_k_stable`) against the full stable
+argsort it replaced.  Its output must equal the argsort prefix, and its
+median paired speedup must be >= 2x (CI gate).
+
 Persists ``results/BENCH_kernel.json``.  Runnable either under pytest
 or as a module::
 
@@ -25,6 +31,7 @@ import time
 import numpy as np
 
 from repro.core.engine import FeReX
+from repro.core.kernel import top_k_stable
 from repro.eval.reporting import format_table
 
 from benchmarks._cli import bench_main, save_artifact, save_json_artifact
@@ -49,6 +56,15 @@ KERNEL_MIN_SPEEDUP = 2.0
 
 SEED_STORED = 83
 SEED_QUERIES = 89
+
+#: (queries, rows, dims, k) of the selector segment: one 2-bit
+#: manhattan bank of the k-NN serving shape.
+SELECTOR_SHAPE = (64, 1024, 512, 10)
+#: CI gate: the selector must be at least this much faster than the
+#: full stable argsort (median of interleaved pairs).
+SELECTOR_MIN_SPEEDUP = 2.0
+#: (pairs, calls per timing) for the full and ``--quick`` runs.
+SELECTOR_PAIRS = {False: (21, 20), True: (11, 10)}
 
 
 def _build_engine(metric, bits, rows, dims):
@@ -102,6 +118,55 @@ def _measure_workload(name, metric, bits, rows, dims, n_queries):
     }
 
 
+def _time_calls(fn, values, k, calls):
+    t0 = time.perf_counter()
+    for _ in range(calls):
+        fn(values, k)
+    return (time.perf_counter() - t0) / calls
+
+
+def _argsort_prefix(values, k):
+    return np.argsort(values, axis=1, kind="stable")[:, :k]
+
+
+def _measure_selector(quick):
+    """Selector vs stable argsort on real bank readings: identity first,
+    then interleaved pairs (alternating which side runs first) so drift
+    in machine load hits both sides of every ratio alike."""
+    n_queries, rows, dims, k = SELECTOR_SHAPE
+    engine = _build_engine("manhattan", 2, rows, dims)
+    queries = np.random.default_rng(SEED_QUERIES).integers(
+        0, 4, size=(n_queries, dims)
+    )
+    values = engine.search_batch(queries).row_units
+    assert np.array_equal(
+        top_k_stable(values, k), _argsort_prefix(values, k)
+    ), "top_k_stable diverged from the stable argsort prefix"
+
+    pairs, calls = SELECTOR_PAIRS[quick]
+    sides = {"argsort": _argsort_prefix, "selector": top_k_stable}
+    for fn in sides.values():  # warm-up
+        fn(values, k)
+    seconds = {name: [] for name in sides}
+    for i in range(pairs):
+        for name in sorted(sides, reverse=bool(i % 2)):
+            seconds[name].append(
+                _time_calls(sides[name], values, k, calls)
+            )
+    ratios = np.array(seconds["argsort"]) / np.array(seconds["selector"])
+    q1, median, q3 = np.percentile(ratios, [25, 50, 75])
+    return {
+        "shape": [n_queries, rows],
+        "k": k,
+        "pairs": pairs,
+        "argsort_ms": 1e3 * float(np.median(seconds["argsort"])),
+        "selector_ms": 1e3 * float(np.median(seconds["selector"])),
+        "speedup": float(median),
+        "q1": float(q1),
+        "q3": float(q3),
+    }
+
+
 def run(quick=False):
     """Bench body shared by the pytest and ``python -m`` entry points."""
     workloads = QUICK_WORKLOADS if quick else WORKLOADS
@@ -116,6 +181,8 @@ def run(quick=False):
     while headline < KERNEL_MIN_SPEEDUP and retries < 2:
         headline = max(headline, _measure_workload(*spec)["speedup"])
         retries += 1
+
+    selector = _measure_selector(quick)
 
     rows_out = [
         [
@@ -134,11 +201,27 @@ def run(quick=False):
         rows_out,
         title="Quantized integer kernel vs float device-physics path",
     )
+    text += "\n\n" + format_table(
+        ["Bank", "k", "Argsort ms", "Selector ms", "Speedup (IQR)"],
+        [
+            [
+                "x".join(map(str, selector["shape"])),
+                selector["k"],
+                f"{selector['argsort_ms']:.3f}",
+                f"{selector['selector_ms']:.3f}",
+                f"{selector['speedup']:.1f}x "
+                f"({selector['q1']:.1f}-{selector['q3']:.1f})",
+            ]
+        ],
+        title=f"Stable top-k selector vs full stable argsort "
+        f"(median of {selector['pairs']} interleaved pairs)",
+    )
     save_artifact("kernel", text)
     save_json_artifact(
         "BENCH_kernel",
         {
             "workloads": results,
+            "selector": selector,
             "seeds": {
                 "stored": SEED_STORED,
                 "queries": SEED_QUERIES,
@@ -146,6 +229,7 @@ def run(quick=False):
             "floors": {
                 "headline": HEADLINE,
                 "min_kernel_speedup": KERNEL_MIN_SPEEDUP,
+                "min_selector_speedup": SELECTOR_MIN_SPEEDUP,
             },
         },
     )
@@ -153,6 +237,10 @@ def run(quick=False):
     assert headline >= KERNEL_MIN_SPEEDUP, (
         f"kernel speedup {headline:.2f}x below {KERNEL_MIN_SPEEDUP}x "
         f"on {HEADLINE}"
+    )
+    assert selector["speedup"] >= SELECTOR_MIN_SPEEDUP, (
+        f"top-k selector speedup {selector['speedup']:.2f}x below "
+        f"{SELECTOR_MIN_SPEEDUP}x over the stable argsort"
     )
     return results
 

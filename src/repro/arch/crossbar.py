@@ -52,6 +52,12 @@ values-path searches all hit the same kernel and stay bit-identical.
 Varied / drifted arrays — the Monte Carlo setting — and foreign bias
 matrices keep the float physics path unchanged; ``kernel_enabled``
 switches the kernel off entirely (the benchmark baseline).
+
+On the kernel path every comparator offset is zero, so the ``k``
+winner-masking LTA rounds of a k-nearest search emit rows in exact
+(current, row) order; :func:`repro.core.kernel.top_k_stable` selects
+those ``k`` rows per query in one pass instead of re-running the LTA
+``k`` times.  The float path keeps the round-by-round LTA.
 """
 
 from __future__ import annotations
@@ -62,6 +68,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..circuits.lta import LoserTakeAll, LTADecision
+from ..core.kernel import top_k_stable
 from ..devices.cell import compile_current_lut, fast_cell_currents
 from ..devices.tech import TechConfig, DEFAULT_TECH
 from ..devices.variation import ArrayVariation, nominal_variation
@@ -963,12 +970,13 @@ class FeReXArray:
         With every comparator offset zero — a kernel eligibility
         condition — each LTA round is a stable argmin, and masking the
         winner to ``+inf`` then re-deciding selects exactly the next
-        entry of the original stable order.  The ``k`` rounds therefore
-        collapse to the first ``k`` columns of one stable argsort,
-        bit-identical winners at a fraction of the cost.
+        entry in (current, row) order.  The ``k`` rounds therefore
+        collapse to one stable top-k selection
+        (:func:`repro.core.kernel.top_k_stable`): bit-identical winners
+        without re-deciding ``k`` times or ordering the rows that lose.
         """
         compete = self._masked_compete(row_currents, active)
-        winners = np.argsort(compete, axis=1, kind="stable")[:, :k]
+        winners = top_k_stable(compete, k)
         timing, energy = self._nominal_batch_accounting(
             dl_first, row_currents
         )

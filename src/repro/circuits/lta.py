@@ -191,11 +191,14 @@ class LoserTakeAll:
             winners = np.zeros(n_queries, dtype=int)
             margins = np.full(n_queries, np.inf)
         else:
-            order = np.argsort(effective, axis=1, kind="stable")
-            winners = order[:, 0]
-            margins = np.take_along_axis(
-                effective, order[:, 1:2], axis=1
-            )[:, 0] - np.take_along_axis(effective, order[:, 0:1], axis=1)[:, 0]
+            # Winner and runner-up without a sort: one partition puts
+            # the two smallest values (NaN last, as argsort orders them)
+            # in front, and the first column holding the smallest is the
+            # stable winner.  An all-NaN row matches nowhere and argmax
+            # picks column 0, as the stable argsort does.
+            lowest = np.partition(effective, 1, axis=1)
+            winners = np.argmax(effective == lowest[:, :1], axis=1)
+            margins = lowest[:, 1] - lowest[:, 0]
 
         delays = self.decision_delay_batch(margins)
         energies = self.decision_energy_batch(delays)

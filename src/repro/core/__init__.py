@@ -55,6 +55,7 @@ from .kernel import (
     accumulator_bound,
     select_accumulator,
     select_quantum,
+    top_k_stable,
 )
 from .xp import ArrayModule, available_modules, get_array_module
 
@@ -111,5 +112,6 @@ __all__ = [
     "select_accumulator",
     "select_quantum",
     "solve_all",
+    "top_k_stable",
     "verify_encoding",
 ]

@@ -71,7 +71,7 @@ import numpy as np
 from ..core.config import BankConfig, as_bank_config, quantize_codes
 from ..core.distance import DistanceMetric
 from ..core.engine import FeReX
-from ..core.kernel import KernelOverflowError, LUTKernel
+from ..core.kernel import KernelOverflowError, LUTKernel, top_k_stable
 from ..core.xp import get_array_module
 from ..devices.variation import ArrayVariation, VariationSampler
 
@@ -117,7 +117,8 @@ class ExactBackend:
     """Exact software search over the live vector set.
 
     One :meth:`DistanceMetric.pairwise` call per batch; candidates order
-    by (distance, position) via a stable argsort, the same tie-break the
+    by (distance, position) via the stable top-k selector
+    (:func:`repro.core.kernel.top_k_stable`), the same tie-break the
     multi-bank analog merge uses.
     """
 
@@ -158,7 +159,7 @@ class ExactBackend:
         distances = self.metric.pairwise(
             queries, self._vectors[live], self.bits
         ).astype(float)
-        order = np.argsort(distances, axis=1, kind="stable")[:, :k]
+        order = top_k_stable(distances, k)
         return (
             live[order],
             np.take_along_axis(distances, order, axis=1),
@@ -197,7 +198,7 @@ class GPUBackend(ExactBackend):
       silently (``backend.xp.name`` says which module serves).  Winners
       and distances are bit-identical to :class:`ExactBackend` — the
       arithmetic is exact on every IEEE-754 backend and the final
-      ranking is numpy's stable argsort either way.
+      ranking is the same stable top-k selector either way.
     * **estimate only** (``estimate_only=True``): no kernel and no
       array module; winners come from :class:`ExactBackend`'s pairwise
       reference, preserving the original roofline-estimator behaviour.
@@ -286,7 +287,7 @@ class GPUBackend(ExactBackend):
                 table = kernel.scores_with(
                     self.xp, np.asarray(queries, dtype=np.int64)
                 )
-                order = np.argsort(table, axis=1, kind="stable")[:, :k]
+                order = top_k_stable(table, k)
                 positions = live[order]
                 distances = np.take_along_axis(table, order, axis=1)
         # XOR + popcount for Hamming, subtract/abs-or-square/accumulate
@@ -687,42 +688,13 @@ class FerexBackend:
         # in order), so the (value, column)-stable partial selection
         # tie-breaks on position — matching the lexsort merge and the
         # exact backend.
-        picks = _top_c_stable(all_units, c)
+        picks = top_k_stable(all_units, c)
         if with_units:
             return (
                 all_positions[picks],
                 np.take_along_axis(all_units, picks, axis=1),
             )
         return all_positions[picks]
-
-
-def _top_c_stable(units: np.ndarray, c: int) -> np.ndarray:
-    """Per-row column indices of the ``c`` smallest entries in
-    (value, column) order — exactly the first ``c`` columns of
-    ``argsort(kind="stable")`` without sorting whole rows.
-
-    An ``argpartition`` alone breaks value ties arbitrarily, which
-    would let the shortlist diverge from the LTA's stable emission
-    order on equal currents; the boundary fix below keeps every column
-    strictly inside the c-th value plus the *lowest-column* ties at it,
-    then orders the surviving ``c`` entries with one small stable sort.
-    """
-    n, m = units.shape
-    if c >= m:
-        return np.argsort(units, axis=1, kind="stable")[:, :c]
-    boundary = np.partition(units, c - 1, axis=1)[:, c - 1 : c]
-    strict = units < boundary
-    at_boundary = units == boundary
-    quota = c - strict.sum(axis=1, keepdims=True)
-    # int32 accumulator: cumsum on a bool block otherwise promotes to
-    # int64 and the widening dominates the whole selection.
-    tie_rank = np.cumsum(at_boundary, axis=1, dtype=np.int32)
-    keep = strict | (at_boundary & (tie_rank <= quota))
-    idx = np.nonzero(keep)[1].reshape(n, c)  # column-ascending per row
-    order = np.argsort(
-        np.take_along_axis(units, idx, axis=1), axis=1, kind="stable"
-    )
-    return np.take_along_axis(idx, order, axis=1)
 
 
 class TieredBackend:
@@ -820,8 +792,13 @@ class TieredBackend:
     ) -> Tuple[np.ndarray, np.ndarray]:
         n_live = int(self._alive.sum())
         shortlist = min(n_live, max(k * self.refine_factor, k))
-        candidates = self.coarse.shortlist(
-            self._quantize(np.asarray(queries, dtype=int)), shortlist
+        # Position order, so the stable selection over the rescored
+        # distances below tie-breaks on position like the flat merge.
+        candidates = np.sort(
+            self.coarse.shortlist(
+                self._quantize(np.asarray(queries, dtype=int)), shortlist
+            ),
+            axis=1,
         )
         # validate=False: the index validated the queries and the
         # candidates come from its own add-validated store — the range
@@ -832,7 +809,7 @@ class TieredBackend:
             self.config.bits,
             validate=False,
         ).astype(float)
-        order = np.lexsort((candidates, rescored))[:, :k]
+        order = top_k_stable(rescored, k)
         return (
             np.take_along_axis(candidates, order, axis=1),
             np.take_along_axis(rescored, order, axis=1),

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuits.lta import LoserTakeAll
 from repro.devices.tech import LTAParams
@@ -93,6 +95,55 @@ class TestDecideBatch:
         lta = LoserTakeAll(4)
         batch = lta.decide_batch(np.full((3, 4), 2e-7))
         assert batch.winners.tolist() == [0, 0, 0]
+
+
+def _argsort_decision(effective):
+    """The sort-based winner/margin formula ``decide_batch`` replaced."""
+    order = np.argsort(effective, axis=1, kind="stable")
+    first = np.take_along_axis(effective, order[:, 0:1], axis=1)[:, 0]
+    second = np.take_along_axis(effective, order[:, 1:2], axis=1)[:, 0]
+    return order[:, 0], second - first
+
+
+class TestDecideBatchMatchesArgsort:
+    @given(
+        n_rows=st.integers(1, 9),
+        n_queries=st.integers(0, 6),
+        seed=st.integers(0, 2**32 - 1),
+        with_offsets=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_winners_and_margins_bit_identical(
+        self, n_rows, n_queries, seed, with_offsets
+    ):
+        """Ties, ``+inf`` masked rows, all-``+inf`` rows (margin NaN),
+        NaN currents and the one-row LTA all decide exactly as the
+        stable argsort did."""
+        rng = np.random.default_rng(seed)
+        offsets = (
+            rng.integers(-2, 3, size=n_rows).astype(float)
+            if with_offsets
+            else None
+        )
+        lta = LoserTakeAll(n_rows, offsets=offsets)
+        currents = rng.integers(0, 4, size=(n_queries, n_rows)).astype(
+            float
+        )
+        currents[rng.random(currents.shape) < 0.25] = np.inf
+        currents[rng.random(currents.shape) < 0.05] = np.nan
+        if n_queries:
+            currents[0] = np.inf
+        batch = lta.decide_batch(currents)
+        if n_rows == 1:
+            assert batch.winners.tolist() == [0] * n_queries
+            assert np.all(np.isinf(batch.margins))
+            return
+        winners, margins = _argsort_decision(currents + lta.offsets)
+        assert np.array_equal(batch.winners, winners)
+        assert np.array_equal(batch.margins, margins, equal_nan=True)
+        if n_queries:
+            assert np.isnan(batch.margins[0])
 
 
 class TestTopK:

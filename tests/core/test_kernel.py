@@ -7,16 +7,23 @@ array-module facade must degrade to numpy without ever raising on a
 missing optional dependency.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from repro.core import kernel as kernel_module
 from repro.core.kernel import (
     EXACT_FLOAT_BITS,
+    TOP_K_MIN_ELEMENTS,
     KernelOverflowError,
     LUTKernel,
     accumulator_bound,
     select_accumulator,
     select_quantum,
+    top_k_stable,
 )
 from repro.core.xp import (
     ArrayModule,
@@ -169,6 +176,118 @@ class TestLUTKernel:
         lut = np.full((2, 1), 1 << 44, dtype=np.int64)
         with pytest.raises(KernelOverflowError):
             LUTKernel(codes, lut)
+
+
+def _stable_prefix(values, k):
+    return np.argsort(values, axis=1, kind="stable")[:, :k]
+
+
+@st.composite
+def selector_inputs(draw):
+    """Tie-heavy small-integer arrays, float64 or int64, with masked
+    (``+inf`` / int64 max) and, for floats, NaN columns; shapes drawn on
+    both sides of :data:`TOP_K_MIN_ELEMENTS`; ``k`` in {1, m - 1, m}
+    or below m / 2, where the partition path runs."""
+    dtype = draw(st.sampled_from([np.float64, np.int64]))
+    if draw(st.booleans()):  # below the crossover: argsort fallback
+        n = draw(st.integers(0, 4))
+        m = draw(st.integers(1, 40))
+    else:
+        m = draw(st.integers(64, 2 * TOP_K_MIN_ELEMENTS))
+        n = draw(st.integers(-(-TOP_K_MIN_ELEMENTS // m), 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.integers(0, draw(st.integers(1, 8)), size=(n, m))
+    values = values.astype(dtype)
+    masked = rng.random(m) < draw(st.sampled_from([0.0, 0.1, 0.6]))
+    values[:, masked] = (
+        np.inf if dtype is np.float64 else np.iinfo(np.int64).max
+    )
+    if dtype is np.float64 and draw(st.booleans()):
+        values[rng.random((n, m)) < draw(st.sampled_from([0.3, 0.9]))] = (
+            np.nan
+        )
+    k = draw(
+        st.sampled_from([1, m - 1, m, max(1, (m - 1) // 2)])
+        | st.integers(1, max(1, (m - 1) // 2))
+    )
+    return values, k
+
+
+#: Pinned edge shapes: no rows, one row past the crossover with k in
+#: {1, m - 1, m}, and a two-row int64 block, all tie-only with masked
+#: columns.
+_MASKED = np.arange(3000) % 7 == 0
+_TIES = np.where(_MASKED, np.inf, np.arange(3000) % 3)[None, :]
+_INT_TIES = np.where(_MASKED, np.iinfo(np.int64).max, np.arange(3000) % 3)
+EDGE_CASES = [
+    (np.empty((0, 3000)), 10),
+    (_TIES, 1),
+    (_TIES, 2999),
+    (_TIES, 3000),
+    (np.tile(_INT_TIES, (2, 1)), 5),
+]
+
+
+class TestTopKStable:
+    @given(selector_inputs())
+    @example(EDGE_CASES[0])
+    @example(EDGE_CASES[1])
+    @example(EDGE_CASES[2])
+    @example(EDGE_CASES[3])
+    @example(EDGE_CASES[4])
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_equals_stable_argsort_prefix(self, case):
+        values, k = case
+        picked = top_k_stable(values, k)
+        assert picked.dtype == np.intp
+        assert np.array_equal(picked, _stable_prefix(values, k))
+        # Memory layout is not part of the answer.
+        assert np.array_equal(
+            top_k_stable(np.asfortranarray(values), k), picked
+        )
+
+    @given(selector_inputs())
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_partition_path_equals_prefix_at_any_size(self, case):
+        """With the crossover at zero every shape with k < m / 2 takes
+        the partition path, tiny and empty ones included."""
+        values, k = case
+        with mock.patch.object(kernel_module, "TOP_K_MIN_ELEMENTS", 0):
+            picked = top_k_stable(values, k)
+        assert np.array_equal(picked, _stable_prefix(values, k))
+
+    def test_nan_boundary_regression(self):
+        """The k-th smallest value is NaN: the boundary comparisons are
+        all false, which used to crash the reshape."""
+        nan = np.nan
+        values = np.array([[nan, nan, 1, 0, 2]])
+        assert top_k_stable(values, 4).tolist() == [[3, 2, 4, 0]]
+        # Wide enough for the partition path (k < m / 2), same answer.
+        wide = np.array([[nan, nan, 1, 0, 2] + [nan] * 6])
+        with mock.patch.object(kernel_module, "TOP_K_MIN_ELEMENTS", 0):
+            assert top_k_stable(wide, 4).tolist() == [[3, 2, 4, 0]]
+            assert np.array_equal(
+                top_k_stable(wide, 5), _stable_prefix(wide, 5)
+            )
+
+    def test_k_zero_and_empty_rows(self):
+        values = np.arange(64 * 64, dtype=float).reshape(64, 64)
+        assert top_k_stable(values, 0).shape == (64, 0)
+        assert top_k_stable(np.empty((0, 64)), 3).shape == (0, 3)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError, match="2-D"):
+            top_k_stable(np.zeros(5), 1)
+        with pytest.raises(ValueError, match="k must be"):
+            top_k_stable(np.zeros((2, 5)), -1)
 
 
 class TestArrayModuleFacade:
