@@ -188,7 +188,8 @@ class DistanceMetric:
                 total += ((diff >> b) & 1).sum(axis=-1)
             return total
         if self.name == "manhattan":
-            return np.abs(q - s).sum(axis=-1)
+            diff = q - s
+            return np.abs(diff, out=diff).sum(axis=-1)
         if self.name == "euclidean":
             d = q - s
             return (d * d).sum(axis=-1)

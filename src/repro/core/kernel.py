@@ -42,10 +42,10 @@ order analog ties.
 Winner selection
 ----------------
 :func:`top_k_stable` is the one stable top-k selector behind every
-search path (crossbar k-batch, shortlist, exact and GPU backends): the
-software model of the loser-take-all emitting the ``k`` nearest rows in
-(value, row) order.  It returns exactly the first ``k`` columns of a
-stable argsort without sorting whole rows.
+search path (crossbar k-batch, shortlist, tiered rescore, exact and GPU
+backends): the software model of the loser-take-all emitting the ``k``
+nearest rows in (value, row) order.  It returns exactly the first ``k``
+columns of a stable argsort without sorting whole rows.
 """
 
 from __future__ import annotations
@@ -67,16 +67,30 @@ EXACT_FLOAT_BITS = 53
 MIN_RESOLUTION_BITS = 24
 
 
-#: Below this many elements a full stable argsort beats the partition
-#: selector's fixed per-call overhead of ~20 us.  Measured on a 2-core
-#: x86 box (numpy 2.4, k=10): argsort wins at 1 x 1024 (22 vs 25 us)
-#: and 2 x 512 (18 vs 26 us); the selector wins from 1536 elements up
-#: (1 x 1536: 69 vs 22 us) and by ~17x on a 64 x 1024 bank of real
-#: row currents (3.5 vs 0.2 ms).
+#: Crossover between the partition selector (a fixed ~25 us per call)
+#: and a full stable argsort (about n * m * log(m)).  One run on a
+#: 2-core x86 box (numpy 2.4, random float64 rows, k = 10, argsort /
+#: selector): below 2048 elements the argsort wins (1 x 1024: 23 / 27
+#: us, 2 x 512: 22 / 29 us); from 2048 elements up the selector wins
+#: (1 x 2048: 166 / 49 us, 8 x 256: 78 / 35 us, 64 x 1024: 4.9 / 0.39
+#: ms) unless rows are short (64 x 32: 28 / 52 us, 64 x 48: 83 / 78
+#: us, 64 x 64: 134 / 80 us).  Shapes under either constant take the
+#: argsort.
 TOP_K_MIN_ELEMENTS = 2048
+TOP_K_MIN_COLUMNS = 64
+
+#: The boundary partition runs over row blocks of at most this many
+#: elements, so its scratch copy stays at 64 KB.  The steady cost is
+#: the same (64 x 1024: 0.41 ms blocked, 0.41 ms whole), but a
+#: whole-array copy of a large input is fresh memory on every call:
+#: the 512 KB copy of the tiered shortlist's 64 x 1024 readout cost
+#: 128 page faults per search.
+TOP_K_BLOCK_ELEMENTS = 8192
 
 
-def top_k_stable(values: np.ndarray, k: int) -> np.ndarray:
+def top_k_stable(
+    values: np.ndarray, k: int, ordered: bool = True
+) -> np.ndarray:
     """Per-row column indices of the ``k`` smallest entries in (value,
     column) order: exactly ``np.argsort(values, axis=1,
     kind="stable")[:, :k]``, NaNs last, without sorting whole rows.
@@ -86,10 +100,11 @@ def top_k_stable(values: np.ndarray, k: int) -> np.ndarray:
     at it up to the quota — an ``argpartition`` alone would break value
     ties arbitrarily and let the selection diverge from the LTA's stable
     emission order.  The surviving ``k`` columns then get one small
-    stable sort.  Inputs under :data:`TOP_K_MIN_ELEMENTS` elements, and
-    ``k`` of at least half the columns (where the partition and the
-    small sort together cost about as much as a full sort), take the
-    plain stable argsort instead.
+    stable sort; ``ordered=False`` skips it and returns the same columns
+    in ascending column order, for callers that re-rank the selection
+    anyway.  Shapes under :data:`TOP_K_MIN_ELEMENTS` elements or
+    :data:`TOP_K_MIN_COLUMNS` columns, and ``k >= m``, take the plain
+    stable argsort instead.
     """
     values = np.asarray(values)
     if values.ndim != 2:
@@ -97,9 +112,22 @@ def top_k_stable(values: np.ndarray, k: int) -> np.ndarray:
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     n, m = values.shape
-    if k == 0 or 2 * k >= m or values.size < TOP_K_MIN_ELEMENTS:
-        return np.argsort(values, axis=1, kind="stable")[:, :k]
-    boundary = np.partition(values, k - 1, axis=1)[:, k - 1 : k]
+    if (
+        k == 0
+        or k >= m
+        or m < TOP_K_MIN_COLUMNS
+        or values.size < TOP_K_MIN_ELEMENTS
+    ):
+        top = np.argsort(values, axis=1, kind="stable")[:, :k]
+        return top if ordered else np.sort(top, axis=1)
+    # The k-th smallest value per row, partitioned a block of rows at a
+    # time so the scratch copy stays small.
+    boundary = np.empty((n, 1), dtype=values.dtype)
+    step = max(1, TOP_K_BLOCK_ELEMENTS // m)
+    for start in range(0, n, step):
+        boundary[start : start + step, 0] = np.partition(
+            values[start : start + step], k - 1, axis=1
+        )[:, k - 1]
     keep = values <= boundary
     # NaN is the only value unequal to itself.  Comparisons with a NaN
     # boundary are all false, so such rows keep every column here and
@@ -115,14 +143,16 @@ def top_k_stable(values: np.ndarray, k: int) -> np.ndarray:
         kept_values = np.take(values, kept)
         row = kept // m
         tie = (kept_values == boundary[row, 0]) | (kept_values != kept_values)
-        row_start = np.searchsorted(row, np.arange(n + 1))
-        tie_count = np.cumsum(tie)  # ties up to and including each entry
-        ties_before = np.concatenate(([0], tie_count))[row_start]
-        ties = np.diff(ties_before)
-        quota = k - (np.diff(row_start) - ties)
-        tie_rank = tie_count - ties_before[row]  # 1-based within the row
+        # 1-based rank of each tie within its row (every row keeps at
+        # least k entries, so each row's first index exists).
+        tie_rank = np.cumsum(tie)
+        first = np.searchsorted(row, np.arange(n))
+        tie_rank -= (tie_rank - tie)[first][row]
+        quota = k - np.bincount(row[~tie], minlength=n)
         kept = kept[~tie | (tie_rank <= quota[row])]
     idx = kept.reshape(n, k) - (np.arange(n) * m)[:, None]
+    if not ordered:
+        return idx
     order = np.argsort(
         np.take_along_axis(values, idx, axis=1), axis=1, kind="stable"
     )

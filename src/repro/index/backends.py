@@ -644,7 +644,11 @@ class FerexBackend:
         )
 
     def shortlist(
-        self, queries: np.ndarray, c: int, with_units: bool = False
+        self,
+        queries: np.ndarray,
+        c: int,
+        with_units: bool = False,
+        ordered: bool = True,
     ):
         """(n, c) nearest global positions by *row-current readout*:
         one array evaluation per bank, candidates ordered by (unit
@@ -662,33 +666,32 @@ class FerexBackend:
         ``with_units=True`` additionally returns the (n, c) unit
         currents backing the ordering — callers merging shortlists
         across shards (the routed backend) need them.
+        ``ordered=False`` returns the same candidates in ascending
+        position order instead, for callers that rescore them.
         """
-        units: List[np.ndarray] = []
-        positions: List[np.ndarray] = []
+        live = []
         for bank in self._banks:
             active = bank.active_rows()
-            if not active.any():
-                continue
-            readout = np.array(
-                bank.engine.readout_batch(
-                    quantize_codes(
-                        queries, self.config.bits, bank.config.bits
-                    )
-                ),
-                dtype=float,
+            if active.any():
+                live.append((bank, active))
+        # Each bank's readout lands straight in its column block.
+        all_units = np.empty((len(queries), sum(len(a) for _, a in live)))
+        positions: List[np.ndarray] = []
+        col = 0
+        for bank, active in live:
+            block = all_units[:, col : col + len(active)]
+            block[...] = bank.engine.readout_batch(
+                quantize_codes(queries, self.config.bits, bank.config.bits)
             )
-            readout[:, ~active] = np.inf
-            units.append(readout)
-            positions.append(
-                bank.start + np.arange(bank.engine.array.rows)
-            )
-        all_units = np.concatenate(units, axis=1)
+            block[:, ~active] = np.inf
+            positions.append(bank.start + np.arange(len(active)))
+            col += len(active)
         all_positions = np.concatenate(positions)
         # Columns are globally position-ascending (banks in order, rows
         # in order), so the (value, column)-stable partial selection
         # tie-breaks on position — matching the lexsort merge and the
         # exact backend.
-        picks = top_k_stable(all_units, c)
+        picks = top_k_stable(all_units, c, ordered=ordered)
         if with_units:
             return (
                 all_positions[picks],
@@ -794,11 +797,10 @@ class TieredBackend:
         shortlist = min(n_live, max(k * self.refine_factor, k))
         # Position order, so the stable selection over the rescored
         # distances below tie-breaks on position like the flat merge.
-        candidates = np.sort(
-            self.coarse.shortlist(
-                self._quantize(np.asarray(queries, dtype=int)), shortlist
-            ),
-            axis=1,
+        candidates = self.coarse.shortlist(
+            self._quantize(np.asarray(queries, dtype=int)),
+            shortlist,
+            ordered=False,
         )
         # validate=False: the index validated the queries and the
         # candidates come from its own add-validated store — the range

@@ -687,7 +687,11 @@ class RoutedBackend:
             cc = min(nominate, cluster.n_live)
             if not len(rows) or cc == 0:
                 continue
-            local = cluster.sub.shortlist(sub_queries[rows], cc)
+            # The lexsort below re-ranks the union, so each cluster's
+            # shortlist may come back in position order, unsorted.
+            local = cluster.sub.shortlist(
+                sub_queries[rows], cc, ordered=False
+            )
             cols = fill[rows, None] + np.arange(cc)[None, :]
             cand_pos[rows[:, None], cols] = cluster.globals_[local]
             fill[rows] += cc

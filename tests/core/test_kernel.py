@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.core import kernel as kernel_module
 from repro.core.kernel import (
     EXACT_FLOAT_BITS,
+    TOP_K_MIN_COLUMNS,
     TOP_K_MIN_ELEMENTS,
     KernelOverflowError,
     LUTKernel,
@@ -182,18 +183,31 @@ def _stable_prefix(values, k):
     return np.argsort(values, axis=1, kind="stable")[:, :k]
 
 
+def _partition_path_everywhere():
+    """Send every shape with 0 < k < m down the partition path, one
+    row per partition block where rows are wider than 7 columns and a
+    ragged last block where they are narrower."""
+    return mock.patch.multiple(
+        kernel_module,
+        TOP_K_MIN_ELEMENTS=0,
+        TOP_K_MIN_COLUMNS=0,
+        TOP_K_BLOCK_ELEMENTS=7,
+    )
+
+
 @st.composite
 def selector_inputs(draw):
     """Tie-heavy small-integer arrays, float64 or int64, with masked
     (``+inf`` / int64 max) and, for floats, NaN columns; shapes drawn on
-    both sides of :data:`TOP_K_MIN_ELEMENTS`; ``k`` in {1, m - 1, m}
-    or below m / 2, where the partition path runs."""
+    both sides of the :data:`TOP_K_MIN_ELEMENTS` /
+    :data:`TOP_K_MIN_COLUMNS` crossover; ``k`` in {1, m - 1, m} or
+    anywhere below m."""
     dtype = draw(st.sampled_from([np.float64, np.int64]))
     if draw(st.booleans()):  # below the crossover: argsort fallback
         n = draw(st.integers(0, 4))
         m = draw(st.integers(1, 40))
     else:
-        m = draw(st.integers(64, 2 * TOP_K_MIN_ELEMENTS))
+        m = draw(st.integers(TOP_K_MIN_COLUMNS, 2 * TOP_K_MIN_ELEMENTS))
         n = draw(st.integers(-(-TOP_K_MIN_ELEMENTS // m), 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     values = rng.integers(0, draw(st.integers(1, 8)), size=(n, m))
@@ -206,10 +220,7 @@ def selector_inputs(draw):
         values[rng.random((n, m)) < draw(st.sampled_from([0.3, 0.9]))] = (
             np.nan
         )
-    k = draw(
-        st.sampled_from([1, m - 1, m, max(1, (m - 1) // 2)])
-        | st.integers(1, max(1, (m - 1) // 2))
-    )
+    k = draw(st.sampled_from([1, m - 1, m]) | st.integers(1, m))
     return values, k
 
 
@@ -249,6 +260,10 @@ class TestTopKStable:
         assert np.array_equal(
             top_k_stable(np.asfortranarray(values), k), picked
         )
+        # Unordered: the same columns, ascending.
+        assert np.array_equal(
+            top_k_stable(values, k, ordered=False), np.sort(picked, axis=1)
+        )
 
     @given(selector_inputs())
     @settings(
@@ -257,12 +272,15 @@ class TestTopKStable:
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_partition_path_equals_prefix_at_any_size(self, case):
-        """With the crossover at zero every shape with k < m / 2 takes
-        the partition path, tiny and empty ones included."""
+        """With the crossover at zero every shape with k < m takes the
+        partition path, tiny and empty ones included."""
         values, k = case
-        with mock.patch.object(kernel_module, "TOP_K_MIN_ELEMENTS", 0):
+        with _partition_path_everywhere():
             picked = top_k_stable(values, k)
-        assert np.array_equal(picked, _stable_prefix(values, k))
+            unordered = top_k_stable(values, k, ordered=False)
+        prefix = _stable_prefix(values, k)
+        assert np.array_equal(picked, prefix)
+        assert np.array_equal(unordered, np.sort(prefix, axis=1))
 
     def test_nan_boundary_regression(self):
         """The k-th smallest value is NaN: the boundary comparisons are
@@ -270,9 +288,10 @@ class TestTopKStable:
         nan = np.nan
         values = np.array([[nan, nan, 1, 0, 2]])
         assert top_k_stable(values, 4).tolist() == [[3, 2, 4, 0]]
-        # Wide enough for the partition path (k < m / 2), same answer.
+        # Through the partition path, same answer.
         wide = np.array([[nan, nan, 1, 0, 2] + [nan] * 6])
-        with mock.patch.object(kernel_module, "TOP_K_MIN_ELEMENTS", 0):
+        with _partition_path_everywhere():
+            assert top_k_stable(values, 4).tolist() == [[3, 2, 4, 0]]
             assert top_k_stable(wide, 4).tolist() == [[3, 2, 4, 0]]
             assert np.array_equal(
                 top_k_stable(wide, 5), _stable_prefix(wide, 5)

@@ -200,6 +200,39 @@ class TestTieredBackend:
         assert (wide.distances <= narrow.distances).all()
         assert (wide.distances < narrow.distances).any()
 
+    def test_rescore_ranks_shortlist_by_distance_then_position(self, rng):
+        """The search takes the coarse shortlist unordered and ranks
+        its exact rescores with the stable selector.  That must equal
+        ranking the ordered shortlist on (distance, position).  The
+        shapes are wide enough for the selector's partition path at
+        both steps."""
+        stored = rng.integers(0, 1 << BITS, size=(300, DIMS))
+        queries = rng.integers(0, 1 << BITS, size=(32, DIMS))
+        index = build(
+            stored,
+            backend="tiered",
+            backend_options={"coarse_bits": 1, "refine_factor": 16},
+        )
+        index.remove([5, 77, 150])
+        backend = index.backend
+        coarse_queries = backend._quantize(queries)
+        ordered = backend.coarse.shortlist(coarse_queries, 80)
+        np.testing.assert_array_equal(
+            backend.coarse.shortlist(coarse_queries, 80, ordered=False),
+            np.sort(ordered, axis=1),
+        )
+        rescored = get_metric("manhattan").rowwise(
+            queries, stored[ordered], BITS
+        )
+        order = np.lexsort((ordered, rescored))[:, :5]
+        result = index.search(queries, k=5)
+        np.testing.assert_array_equal(
+            result.ids, np.take_along_axis(ordered, order, axis=1)
+        )
+        np.testing.assert_array_equal(
+            result.distances, np.take_along_axis(rescored, order, axis=1)
+        )
+
     def test_compact_keeps_parity(self, stored, queries):
         index = build(stored, backend="tiered")
         index.remove([0, 1, 2, 3])
