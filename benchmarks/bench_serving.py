@@ -1,16 +1,15 @@
-"""Serving throughput: coalesced micro-batching, adaptive wait, and the
-multi-process replica pool vs naive per-query dispatch.
+"""Serving throughput: coalesced micro-batching and the multi-process
+replica pool vs naive per-query dispatch.
 
 The FeReX batch path amortises one array evaluation over many queries;
 :class:`repro.serve.FerexServer` is what converts *concurrent traffic*
 into those batches.  This bench measures end-to-end served queries/sec
-at client concurrency 1 / 8 / 64 for four configurations:
+at client concurrency 1 / 8 / 64 for three configurations:
 
 * **naive** — per-query dispatch (``max_batch_size=1``): every request
   becomes its own one-query index search;
-* **coalesced** — the classic fixed-window coalescing server;
-* **adaptive** — coalescing with the adaptive flush window: sparse
-  traffic dispatches near-directly, bursts still batch;
+* **coalesced** — the default server: a lone request dispatches
+  near-directly, and requests batch while the backend is busy;
 * **pool** — the coalescing server over a
   :class:`~repro.serve.ProcReplicaPool` (worker processes attached to
   shared-memory index segments), on a heavier per-query workload where
@@ -27,8 +26,8 @@ Headline assertions:
 
 * at concurrency 64 the coalesced server serves >= 5x the naive
   per-query dispatch rate;
-* with the adaptive window, concurrency-1 p50 latency is <= 1.2x a
-  direct (non-coalesced) ``index.search`` call;
+* concurrency-1 p50 latency is <= 1.2x a direct (non-coalesced)
+  ``index.search`` call;
 * the process pool serves >= 1.5x the single-process coalesced rate at
   concurrency 64 (enforced when >= 2 cores are available — on a
   single-core host the ratio is recorded but cannot be meaningful).
@@ -68,8 +67,8 @@ QUICK_N_QUERIES = {1: 32, 8: 128, 64: 512}
 NAIVE_SAMPLE = 64
 HEADLINE_CONCURRENCY = 64
 MIN_SPEEDUP_AT_64 = 5.0
-#: Adaptive-wait acceptance: concurrency-1 served p50 vs direct p50.
-MAX_ADAPTIVE_P50_VS_DIRECT = 1.2
+#: Concurrency-1 served p50 vs direct p50.
+MAX_P50_VS_DIRECT_AT_1 = 1.2
 
 #: Pool workload: many stored rows so per-query work dominates the
 #: per-call overhead — the regime where worker processes (instead of
@@ -142,8 +141,8 @@ def _make_queries(n, dims=DIMS, seed=SEED_QUERIES) -> np.ndarray:
 
 def _measure_serial_loop(index: FerexIndex, queries: np.ndarray) -> dict:
     """Reference line: a synchronous per-query loop, no serving stack.
-    Records per-query latencies so the adaptive series can be compared
-    against *direct* search latency, not just throughput."""
+    Records per-query latencies so the concurrency-1 series can be
+    compared against *direct* search latency, not just throughput."""
     index.search(queries[:1], k=K)  # warm the bias tables
     sample = queries[:NAIVE_SAMPLE]
     latencies = []
@@ -167,7 +166,6 @@ def _measure_server(
     queries: np.ndarray,
     concurrency: int,
     max_batch_size: int,
-    adaptive_wait: bool = False,
     pool: "ProcReplicaPool | None" = None,
 ) -> dict:
     """``concurrency`` client tasks drain a shared queue through one
@@ -175,7 +173,7 @@ def _measure_server(
 
     ``max_batch_size=1`` is the naive per-query dispatch baseline;
     ``MAX_BATCH`` is the coalescing configuration under test;
-    ``adaptive_wait``/``pool`` select the new series.
+    ``pool`` selects the process-pool series.
     """
 
     async def client(server, stream, outcomes):
@@ -192,7 +190,6 @@ def _measure_server(
             max_batch_size=max_batch_size,
             max_wait_ms=MAX_WAIT_MS,
             cache_size=0,
-            adaptive_wait=adaptive_wait,
             pool=pool,
         )
         async with server:
@@ -209,8 +206,8 @@ def _measure_server(
             )
             elapsed = time.perf_counter() - t0
             snapshot = server.stats.snapshot()
-        # The serving layer must not change a single answer — pooled,
-        # adaptive or not.
+        # The serving layer must not change a single answer, pooled or
+        # not.
         direct = index.search(queries, k=K)
         ids = np.stack([o.ids for o in outcomes])
         distances = np.stack([o.distances for o in outcomes])
@@ -419,20 +416,11 @@ def run(quick=False):
         coalesced = _measure_server(
             index, queries, concurrency, max_batch_size=MAX_BATCH
         )
-        adaptive = _measure_server(
-            index,
-            queries,
-            concurrency,
-            max_batch_size=MAX_BATCH,
-            adaptive_wait=True,
-        )
         results[f"concurrency_{concurrency}"] = {
             "concurrency": concurrency,
             "naive": naive,
             "coalesced": coalesced,
-            "adaptive": adaptive,
             "speedup_vs_naive": coalesced["qps"] / naive["qps"],
-            "adaptive_speedup_vs_naive": adaptive["qps"] / naive["qps"],
         }
 
     pool_series = _measure_pool_series(quick)
@@ -440,29 +428,25 @@ def run(quick=False):
 
     c1_queries = all_queries[: sizes[1]]
 
-    def _adaptive_ratio():
+    def _c1_ratio():
         retry_serial = _measure_serial_loop(index, c1_queries)
-        retry_adaptive = _measure_server(
-            index,
-            c1_queries,
-            1,
-            max_batch_size=MAX_BATCH,
-            adaptive_wait=True,
+        retry_served = _measure_server(
+            index, c1_queries, 1, max_batch_size=MAX_BATCH
         )
         return (
-            retry_adaptive["latency_p50_ms"]
+            retry_served["latency_p50_ms"]
             / retry_serial["latency_p50_ms"]
         )
 
-    first_adaptive_ratio = (
-        results["concurrency_1"]["adaptive"]["latency_p50_ms"]
+    first_c1_ratio = (
+        results["concurrency_1"]["coalesced"]["latency_p50_ms"]
         / serial_loop["latency_p50_ms"]
     )
-    adaptive_p50_vs_direct = _deflake_gate(
-        first_adaptive_ratio,
-        _adaptive_ratio,
+    p50_vs_direct = _deflake_gate(
+        first_c1_ratio,
+        _c1_ratio,
         prefer=min,
-        passes=lambda value: value <= MAX_ADAPTIVE_P50_VS_DIRECT,
+        passes=lambda value: value <= MAX_P50_VS_DIRECT_AT_1,
     )
 
     headline_slab = transport_series["results"][
@@ -474,9 +458,8 @@ def run(quick=False):
             f"{r['coalesced']['n_queries']}",
             f"{r['naive']['qps']:.0f}",
             f"{r['coalesced']['qps']:.0f}",
-            f"{r['adaptive']['qps']:.0f}",
             f"{r['coalesced']['mean_batch_size']:.1f}",
-            f"{r['adaptive']['latency_p50_ms']:.2f}",
+            f"{r['coalesced']['latency_p50_ms']:.2f}",
             f"{r['speedup_vs_naive']:.1f}x",
         ]
         for r in results.values()
@@ -487,14 +470,13 @@ def run(quick=False):
             "Queries",
             "Naive q/s",
             "Coalesced q/s",
-            "Adaptive q/s",
             "Mean batch",
-            "Adaptive p50 ms",
+            "p50 ms",
             "Speedup",
         ],
         rows_out,
         title=(
-            f"FerexServer: coalesced/adaptive vs naive dispatch "
+            f"FerexServer: coalesced vs naive dispatch "
             f"({ROWS}x{DIMS}, k={K}, serial loop "
             f"{serial_loop['qps']:.0f} q/s) | pool "
             f"({POOL_ROWS}x{POOL_DIMS}, {POOL_WORKERS} workers): "
@@ -529,8 +511,8 @@ def run(quick=False):
             "results": results,
             # The first, unretried measurement (the trajectory signal);
             # the gate below uses the de-flaked best.
-            "adaptive_p50_vs_direct_at_concurrency_1": first_adaptive_ratio,
-            "adaptive_p50_vs_direct_best": adaptive_p50_vs_direct,
+            "p50_vs_direct_at_concurrency_1": first_c1_ratio,
+            "p50_vs_direct_best": p50_vs_direct,
             "pool_series": pool_series,
             "transport_series": transport_series,
         },
@@ -562,17 +544,14 @@ def run(quick=False):
         f"concurrency {HEADLINE_CONCURRENCY}; regression below the "
         f"{MIN_SPEEDUP_AT_64:.0f}x floor"
     )
-    # Coalescing must actually coalesce under concurrent load —
-    # adaptive included (the window may shrink, batching must not).
+    # Coalescing must actually coalesce under concurrent load.
     assert headline["coalesced"]["mean_batch_size"] > 1.5
-    assert headline["adaptive"]["mean_batch_size"] > 1.5
 
-    # Adaptive wait closes the concurrency-1 latency gap: served p50
-    # within 1.2x of a direct index.search call.
-    assert adaptive_p50_vs_direct <= MAX_ADAPTIVE_P50_VS_DIRECT, (
-        f"adaptive concurrency-1 p50 is {adaptive_p50_vs_direct:.2f}x "
-        f"direct search latency; ceiling is "
-        f"{MAX_ADAPTIVE_P50_VS_DIRECT:.1f}x"
+    # A lone caller pays no batching tax: served p50 within 1.2x of a
+    # direct index.search call.
+    assert p50_vs_direct <= MAX_P50_VS_DIRECT_AT_1, (
+        f"concurrency-1 p50 is {p50_vs_direct:.2f}x direct search "
+        f"latency; ceiling is {MAX_P50_VS_DIRECT_AT_1:.1f}x"
     )
 
     # The process pool must beat one GIL-bound process where there are

@@ -1,5 +1,5 @@
 """Scaling FeReX serving beyond the GIL: the multi-process replica
-pool and the adaptive coalescer wait.
+pool behind the work-conserving coalescer.
 
 Walkthrough:
 
@@ -8,9 +8,9 @@ Walkthrough:
    processes that attach them zero-copy (fingerprint-verified) — N
    replicas, ~1x canonical index RAM;
 2. put a `FerexServer` in front with `pool=` — coalesced micro-batches
-   now run truly in parallel, one per worker process — and with
-   `adaptive_wait=True`, so a lone caller is served near-directly
-   while bursts still batch;
+   now run truly in parallel, one per worker process; a request that
+   finds a worker idle dispatches at once, and requests batch only
+   while every worker is busy;
 3. write through the server: the mutation applies to the primary and
    the pool republishes a fresh generation inside the same
    single-writer critical section, so the next read sees it;
@@ -38,7 +38,6 @@ async def main(pool: ProcReplicaPool, index: FerexIndex):
         max_batch_size=16,
         max_wait_ms=2.0,
         cache_size=256,
-        adaptive_wait=True,
     )
     async with server:
         # --- concurrent wave: batches fan out across worker processes
@@ -67,11 +66,12 @@ async def main(pool: ProcReplicaPool, index: FerexIndex):
         )
 
         # --- kill a worker mid-traffic: the pool heals itself -------
+        # Two full batches, one per worker, so the dead one is reached.
         pool.workers[0].process.kill()
         refreshed = await asyncio.gather(
-            *(server.search(q, k=3) for q in queries[:16])
+            *(server.search(q, k=3) for q in queries[:32])
         )
-        direct = index.search(queries[:16], k=3)
+        direct = index.search(queries[:32], k=3)
         identical = all(
             np.array_equal(outcome.ids, direct.ids[row])
             for row, outcome in enumerate(refreshed)

@@ -811,11 +811,22 @@ class TieredBackend:
             self.config.bits,
             validate=False,
         ).astype(float)
-        order = top_k_stable(rescored, k)
-        return (
-            np.take_along_axis(candidates, order, axis=1),
-            np.take_along_axis(rescored, order, axis=1),
-        )
+        return rank_candidates(candidates, rescored, k)
+
+
+def rank_candidates(
+    positions: np.ndarray, distances: np.ndarray, k: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``k`` best candidates per row in (distance, position) order:
+    the rescore ranking of :class:`TieredBackend` and of the routed
+    backend's ``inner="tiered"``.  ``positions`` must ascend along each
+    row, so the stable selection by distance equals
+    ``np.lexsort((positions, distances))[:, :k]``."""
+    order = top_k_stable(distances, k)
+    return (
+        np.take_along_axis(positions, order, axis=1),
+        np.take_along_axis(distances, order, axis=1),
+    )
 
 
 #: Backend registry used by the index facade and by persistence.

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -908,15 +909,27 @@ class FerexIndex:
         seed).  Only backends the index constructed itself (a registry
         kind: ferex/exact/gpu/tiered/routed) can be persisted — see
         :meth:`export_state`.
+
+        The save is atomic: the archive goes to a temporary file in the
+        target's directory, is fsynced, then renamed over ``path`` (a
+        failure leaves the previous file intact).  Like ``np.savez``,
+        a path without the ``.npz`` suffix gains it.
         """
         meta, arrays = self.export_state()
-        np.savez_compressed(
-            path,
-            meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-            vectors=arrays["vectors"],
-            ids=arrays["ids"],
-            alive=arrays["alive"],
-        )
+        meta = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        path = str(path)
+        if not path.endswith(".npz"):
+            path += ".npz"
+        tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+        try:
+            with open(tmp, "xb") as file:
+                np.savez_compressed(file, meta=meta, **arrays)
+                file.flush()
+                os.fsync(file.fileno())
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
     @classmethod
     def load(cls, path: "str | Path") -> "FerexIndex":
@@ -924,8 +937,8 @@ class FerexIndex:
         search results; see :meth:`from_state`).
 
         Accepts the same path that was given to :meth:`save`:
-        ``np.savez_compressed`` appends ``.npz`` when missing, so load
-        mirrors that rule.
+        :meth:`save` appends ``.npz`` when missing, so load mirrors
+        that rule.
         """
         path = str(path)
         if not path.endswith(".npz"):

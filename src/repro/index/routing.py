@@ -83,7 +83,12 @@ import numpy as np
 
 from ..core.config import BankConfig, as_bank_config, quantize_codes
 from ..core.kernel import LUTKernel
-from .backends import BACKENDS, FerexBackend, metric_element_lut
+from .backends import (
+    BACKENDS,
+    FerexBackend,
+    metric_element_lut,
+    rank_candidates,
+)
 
 #: Global-position sentinel for unfilled candidate slots: orders after
 #: every real position in the lexsort merge.
@@ -687,7 +692,7 @@ class RoutedBackend:
             cc = min(nominate, cluster.n_live)
             if not len(rows) or cc == 0:
                 continue
-            # The lexsort below re-ranks the union, so each cluster's
+            # The union is re-ranked below, so each cluster's
             # shortlist may come back in position order, unsorted.
             local = cluster.sub.shortlist(
                 sub_queries[rows], cc, ordered=False
@@ -695,6 +700,9 @@ class RoutedBackend:
             cols = fill[rows, None] + np.arange(cc)[None, :]
             cand_pos[rows[:, None], cols] = cluster.globals_[local]
             fill[rows] += cc
+        # Position order across the clusters (pads sort last), as the
+        # shared rescore ranking requires.
+        cand_pos.sort(axis=1)
         padded = cand_pos == _PAD_POSITION
         rescored = self.config.resolved.rowwise(
             queries.astype(np.int16),
@@ -703,11 +711,7 @@ class RoutedBackend:
             validate=False,
         ).astype(float)
         rescored[padded] = np.inf
-        order = np.lexsort((cand_pos, rescored))[:, :k]
-        return (
-            np.take_along_axis(cand_pos, order, axis=1),
-            np.take_along_axis(rescored, order, axis=1),
-        )
+        return rank_candidates(cand_pos, rescored, k)
 
     def shortlist(self, queries: np.ndarray, c: int) -> np.ndarray:
         """(n, c) nearest global positions by row-current readout

@@ -5,15 +5,30 @@ queries (the ~50x batch-over-serial win measured in
 ``benchmarks/bench_batch_throughput.py``).  A serving process only sees
 that win if concurrent single-query callers are *coalesced* into
 micro-batches before they reach the index — which is exactly what
-:class:`RequestCoalescer` does:
+:class:`RequestCoalescer` does.
+
+The flush rule is work-conserving: a request never waits for company
+while the backend has a free dispatch *slot* (a pool worker, or a
+replica when unpooled).
 
 * a submitted request parks in the pending queue;
-* the queue flushes when it reaches ``max_batch_size`` **or**
-  ``max_wait_ms`` after its first request arrived, whichever is first;
+* while a slot is free, the queue flushes on the next event-loop tick,
+  so requests that arrive in the same tick (a concurrent burst) share
+  one batch and a lone request pays no timer;
+* while every slot is busy, arrivals keep parking; the queue flushes
+  when a slot frees, when it reaches ``max_batch_size``, or
+  ``max_wait_ms`` after the oldest parked arrival — whichever is first.
+  Batches therefore grow exactly while the backend is saturated, and
+  ``max_wait_ms`` is a hard ceiling on parking, even behind a hung
+  slot;
 * a flush groups pending requests by ``k`` (the index's batch entry
   point takes one ``k`` per call) and dispatches each group through the
   supplied async ``dispatch`` callable in arrival order;
 * each caller's future resolves with its own ``(ids, distances)`` row.
+
+With an ``inline_dispatch`` a lone request skips the batch machinery's
+task hop: when no slot is busy and nothing else joins it during one
+event-loop yield, it is dispatched inline by its own caller.
 
 Because the index's batch path is bit-identical to its serial path by
 construction, coalescing changes *when* a query is evaluated but never
@@ -23,38 +38,12 @@ Cancellation discipline: a caller that abandons its request (e.g. via
 ``asyncio.wait_for``) before the flush is silently dropped from the
 batch; one cancelled after dispatch simply never receives the result.
 Other requests in the same micro-batch are unaffected either way.
-
-Adaptive wait
--------------
-A fixed ``max_wait_ms`` taxes sparse traffic: a lone caller always eats
-the full window even though nobody will ever join its batch.  With
-``adaptive_wait=True`` the coalescer sizes each window from the EWMAs
-of two signals it observes anyway:
-
-* the **inter-arrival gap** between ``submit`` calls, and
-* the **dispatch service time** of recent batches.
-
-Waiting only pays when another request is expected before the current
-one would have been served solo — i.e. when the arrival gap undercuts
-the service time.  The scheduled window is therefore::
-
-    wait = 0                                  if ewma_gap >= ewma_service
-    wait = min(max_wait_ms, gain * ewma_gap)  otherwise
-
-always clamped to ``[0, max_wait_ms]`` — the configured ceiling is a
-hard upper bound no arrival pattern can push past.  Under concurrency-1
-traffic the gap (which *includes* any wait we add, so the loop is
-self-stabilising) sits above the service time and the window collapses
-to zero: a singleton request arriving to an empty queue then bypasses
-the timer entirely and dispatches inline, at near-direct-search
-latency.  Under a 64-client burst the gaps are microseconds, the window
-opens, and batches keep filling exactly as with a fixed wait.
 """
 
 from __future__ import annotations
 
 import asyncio
-from collections import deque
+from dataclasses import dataclass
 from typing import Awaitable, Callable, List, Optional, Tuple
 
 import numpy as np
@@ -63,6 +52,9 @@ import numpy as np
 DispatchFn = Callable[
     [np.ndarray, int], Awaitable[Tuple[np.ndarray, np.ndarray]]
 ]
+
+#: Smoothing factor of the service-time EWMA.
+_SERVICE_ALPHA = 0.25
 
 
 class DeadlineExceededError(TimeoutError):
@@ -76,24 +68,16 @@ class DeadlineExceededError(TimeoutError):
     """
 
 
+@dataclass(eq=False, slots=True)
 class _Pending:
-    """One parked request: query row, k, deadline, caller's future."""
+    """One parked request.  ``deadline`` is the absolute event-loop
+    time after which it must not be dispatched (None = no deadline)."""
 
-    __slots__ = ("query", "k", "future", "deadline")
-
-    def __init__(
-        self,
-        query: np.ndarray,
-        k: int,
-        future: asyncio.Future,
-        deadline: Optional[float] = None,
-    ):
-        self.query = query
-        self.k = k
-        self.future = future
-        #: Absolute event-loop time after which the request must not be
-        #: dispatched (None = no deadline).
-        self.deadline = deadline
+    query: np.ndarray
+    k: int
+    future: asyncio.Future
+    deadline: Optional[float]
+    arrived: float
 
 
 class RequestCoalescer:
@@ -107,30 +91,23 @@ class RequestCoalescer:
     max_batch_size:
         Flush immediately once this many requests are pending.
     max_wait_ms:
-        Flush at latest this long after the oldest pending request
-        arrived; ``0`` flushes on the next event-loop tick (pure
-        opportunistic batching, no added latency).
+        Hard ceiling on parking: a request that finds every slot busy
+        is dispatched at latest this long after the oldest parked
+        arrival.  ``0`` flushes on the next event-loop tick regardless
+        of slots.
     on_batch:
         Optional observer called with each successfully served batch
         size (the server wires :meth:`ServerStats.record_batch` here).
-    adaptive_wait:
-        Size each flush window from the arrival/service EWMAs (see the
-        module docstring) instead of always waiting ``max_wait_ms``.
-        The configured ``max_wait_ms`` stays the hard ceiling.
+    slots:
+        Zero-argument callable returning how many batches the backend
+        serves at once, read at every decision (so a pool that grows or
+        shrinks applies at once).  Defaults to one slot.
     inline_dispatch:
-        Optional dispatch variant used *only* for the adaptive
-        singleton fast path (a request confirmed alone under sparse
-        traffic).  The server passes a loop-blocking direct search
-        here — acceptable exactly because nothing else is in flight —
-        while timer- and size-triggered batches (including a lone-k
-        group inside a concurrent burst) keep the off-loop ``dispatch``.
-        Defaults to ``dispatch``.
-    ewma_alpha:
-        EWMA smoothing factor in ``(0, 1]`` for both signals (higher =
-        faster adaptation, noisier estimate).
-    wait_gain:
-        Multiple of the arrival-gap EWMA used as the window when
-        waiting is worthwhile.
+        Optional dispatch variant for a lone request that finds no slot
+        busy; the caller awaits it directly instead of a batch task.
+        The server passes a loop-blocking direct search here —
+        acceptable exactly because nothing else is in flight.  Without
+        it, a lone request rides a size-1 batch on the next tick.
     """
 
     def __init__(
@@ -139,44 +116,33 @@ class RequestCoalescer:
         max_batch_size: int = 64,
         max_wait_ms: float = 2.0,
         on_batch: Optional[Callable[[int], None]] = None,
-        adaptive_wait: bool = False,
-        ewma_alpha: float = 0.25,
-        wait_gain: float = 8.0,
+        slots: Optional[Callable[[], int]] = None,
         inline_dispatch: Optional[DispatchFn] = None,
     ):
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
         if max_wait_ms < 0:
             raise ValueError("max_wait_ms must be >= 0")
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
-        if wait_gain <= 0:
-            raise ValueError("wait_gain must be > 0")
+        self._slots = slots or (lambda: 1)
         self._dispatch = dispatch
-        self._inline_dispatch = inline_dispatch or dispatch
+        self._inline_dispatch = inline_dispatch
         self.max_batch_size = max_batch_size
         self.max_wait_s = max_wait_ms / 1000.0
         self._on_batch = on_batch
-        self.adaptive_wait = adaptive_wait
-        self._ewma_alpha = ewma_alpha
-        self._wait_gain = wait_gain
-        #: EWMA of submit inter-arrival gaps (seconds; None = no data).
-        self._ewma_gap: Optional[float] = None
         #: EWMA of batch dispatch durations (seconds; None = no data).
         self._ewma_service: Optional[float] = None
-        self._last_arrival: Optional[float] = None
-        #: Recent scheduled windows (seconds) — every value is in
-        #: ``[0, max_wait_s]`` by construction; tests and stats
-        #: surfaces read this to audit the adaptive policy.
-        self.scheduled_waits: deque = deque(maxlen=256)
         self._pending: List[_Pending] = []
-        self._flush_handle: Optional[asyncio.TimerHandle] = None
-        self._inflight: set = set()
-        #: Singleton fast-path batches awaited inline (no task object
-        #: to gather), counted so close() can drain them too.
-        self._inline_inflight = 0
-        self._inline_drained = asyncio.Event()
-        self._inline_drained.set()
+        #: Next-tick flush, armed while a slot is free.
+        self._tick: Optional[asyncio.Handle] = None
+        #: ``max_wait_ms`` ceiling, armed while every slot is busy.
+        self._timer: Optional[asyncio.TimerHandle] = None
+        #: Batches dispatched and not yet finished (busy slots), inline
+        #: ones included.
+        self._inflight = 0
+        #: Batch tasks, held so they are not garbage-collected mid-flight.
+        self._tasks: set = set()
+        self._idle = asyncio.Event()
+        self._idle.set()
         #: Requests rejected at flush time because their deadline had
         #: already expired while parked (never dispatched).
         self.n_deadline_drops = 0
@@ -189,57 +155,24 @@ class RequestCoalescer:
         return len(self._pending)
 
     @property
+    def n_inflight(self) -> int:
+        """Batches dispatched and not yet finished (busy slots)."""
+        return self._inflight
+
+    @property
     def ewma_service_s(self) -> Optional[float]:
         """EWMA of batch dispatch durations in seconds (``None`` until
         the first batch is served) — the service-time half of the
         autoscaling signal."""
         return self._ewma_service
 
-    @property
-    def ewma_gap_s(self) -> Optional[float]:
-        """EWMA of submit inter-arrival gaps in seconds (``None``
-        before the second submit)."""
-        return self._ewma_gap
-
-    def _observe_arrival(self, now: float) -> None:
-        if self._last_arrival is not None:
-            # Cap the sample: beyond "no batch-mate is coming" the gap
-            # magnitude is meaningless, and one long idle period must
-            # not dominate the EWMA for many requests afterwards.
-            gap = min(now - self._last_arrival, 1.0)
-            if self._ewma_gap is None:
-                self._ewma_gap = gap
-            else:
-                alpha = self._ewma_alpha
-                self._ewma_gap = alpha * gap + (1 - alpha) * self._ewma_gap
-        self._last_arrival = now
-
     def _observe_service(self, duration: float) -> None:
         if self._ewma_service is None:
             self._ewma_service = duration
         else:
-            alpha = self._ewma_alpha
-            self._ewma_service = (
-                alpha * duration + (1 - alpha) * self._ewma_service
+            self._ewma_service += _SERVICE_ALPHA * (
+                duration - self._ewma_service
             )
-
-    def next_wait_s(self) -> float:
-        """The flush window the next empty-queue arrival would get,
-        always within ``[0, max_wait_s]``."""
-        if not self.adaptive_wait or self._ewma_gap is None:
-            return self.max_wait_s
-        # Until a batch has been served, assume waiting may pay (the
-        # ceiling itself is the most conservative service estimate).
-        service = (
-            self._ewma_service
-            if self._ewma_service is not None
-            else self.max_wait_s
-        )
-        if self._ewma_gap >= service:
-            # Arrivals are slower than serving solo: batch-mates will
-            # not materialise, so waiting only adds latency.
-            return 0.0
-        return min(self.max_wait_s, self._wait_gain * self._ewma_gap)
 
     async def submit(
         self,
@@ -267,23 +200,18 @@ class RequestCoalescer:
             raise DeadlineExceededError(
                 "deadline expired before the request could be queued"
             )
-        self._observe_arrival(now)
         future = loop.create_future()
-        pending = _Pending(query, k, future, deadline)
+        pending = _Pending(query, k, future, deadline, now)
         if (
-            self.adaptive_wait
+            self._inline_dispatch is not None
             and not self._pending
-            and self.next_wait_s() == 0.0
+            and not self._inflight
         ):
-            # Sparse-traffic fast path: nobody is parked and the policy
-            # says nobody is coming.  Park and yield exactly once —
-            # submits already sitting in the event loop's ready queue
-            # (a concurrent burst) land in the pending list during the
-            # yield and batch as usual; a request still alone
-            # afterwards dispatches inline (no timer, no task hop) at
-            # near-direct-search latency.  The full batch machinery
-            # runs either way, so error/observer semantics are
-            # identical to a size-1 flush.
+            # Nothing parked and nothing in flight.  Park and yield
+            # exactly once — submits already sitting in the event
+            # loop's ready queue (a concurrent burst) join the pending
+            # list during the yield and batch as usual; a request still
+            # alone afterwards dispatches inline (no tick, no task hop).
             self._pending.append(pending)
             try:
                 await asyncio.sleep(0)
@@ -297,54 +225,79 @@ class RequestCoalescer:
                 raise
             if self._pending == [pending]:
                 self._pending = []
-                self.scheduled_waits.append(0.0)
-                self._inline_inflight += 1
-                self._inline_drained.clear()
+                self._acquire()
                 try:
                     await self._run_batch(
                         [pending], k, dispatch=self._inline_dispatch
                     )
                 finally:
-                    self._inline_inflight -= 1
-                    if self._inline_inflight == 0:
-                        self._inline_drained.set()
+                    self._release()
             return await future
         self._pending.append(pending)
         if len(self._pending) >= self.max_batch_size:
             self._flush()
-        elif self._flush_handle is None:
-            wait = self.next_wait_s()
-            self.scheduled_waits.append(wait)
-            self._flush_handle = loop.call_later(wait, self._flush)
+        else:
+            self._schedule()
         return await future
 
     async def close(self) -> None:
         """Flush any parked requests and wait out in-flight batches;
         subsequent submits raise."""
         self._closed = True
-        while self._pending:
-            self._flush()
-        if self._flush_handle is not None:
-            self._flush_handle.cancel()
-            self._flush_handle = None
-        while self._inflight:
-            await asyncio.gather(*tuple(self._inflight))
-        # Singleton fast-path dispatches are awaited by their callers,
-        # not tracked as tasks — wait for those to finish draining too.
-        await self._inline_drained.wait()
+        self._flush()
+        await self._idle.wait()
 
     # ------------------------------------------------------------------
+    def _schedule(self) -> None:
+        """Arm the trigger that will flush the parked requests: the
+        next tick while a slot is free, else the ``max_wait_ms``
+        ceiling of the oldest parked arrival."""
+        if not self._pending:
+            return
+        loop = asyncio.get_running_loop()
+        if self._inflight < self._slots():
+            if self._tick is None:
+                self._tick = loop.call_soon(self._on_tick)
+        elif self._timer is None:
+            self._timer = loop.call_at(
+                self._pending[0].arrived + self.max_wait_s, self._flush
+            )
+
+    def _on_tick(self) -> None:
+        self._tick = None
+        if self._inflight < self._slots():
+            self._flush()
+        else:
+            # The pool shrank since the tick was armed: park until a
+            # slot frees.
+            self._schedule()
+
+    def _acquire(self) -> None:
+        self._inflight += 1
+        self._idle.clear()
+
+    def _release(self, _task: Optional[asyncio.Task] = None) -> None:
+        """A batch finished: its slot is free for the parked queue."""
+        self._inflight -= 1
+        if not self._inflight:
+            self._idle.set()
+        if self._pending and self._inflight < self._slots():
+            self._flush()
+
     def _flush(self) -> None:
         """Dispatch every pending request now.
 
         ``submit`` flushes synchronously the moment the queue reaches
         ``max_batch_size`` (and flushing itself never awaits), so the
-        queue can never exceed one batch — the whole pending list *is*
-        the micro-batch.
+        queue only exceeds one batch through the inline path's one-tick
+        yield — dispatched batches are still capped below.
         """
-        if self._flush_handle is not None:
-            self._flush_handle.cancel()
-            self._flush_handle = None
+        if self._tick is not None:
+            self._tick.cancel()
+            self._tick = None
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
         batch, self._pending = self._pending, []
         # Callers that cancelled while parked drop out of the batch.
         batch = [p for p in batch if not p.future.done()]
@@ -365,23 +318,19 @@ class RequestCoalescer:
                         "deadline expired while queued for dispatch"
                     )
                 )
-        if not batch:
-            return
         # One index call per distinct k, arrival order preserved.
         by_k: dict = {}
         for pending in batch:
             by_k.setdefault(pending.k, []).append(pending)
         loop = asyncio.get_running_loop()
         for k, group in by_k.items():
-            # max_batch_size is a hard bound on dispatched batches, not
-            # just a flush trigger: a request parked outside the normal
-            # size check (the adaptive fast path's one-tick yield) must
-            # not let a sweep exceed the cap.
             for start in range(0, len(group), self.max_batch_size):
                 chunk = group[start : start + self.max_batch_size]
+                self._acquire()
                 task = loop.create_task(self._run_batch(chunk, k))
-                self._inflight.add(task)
-                task.add_done_callback(self._inflight.discard)
+                self._tasks.add(task)
+                task.add_done_callback(self._tasks.discard)
+                task.add_done_callback(self._release)
 
     async def _run_batch(
         self,
@@ -397,7 +346,7 @@ class RequestCoalescer:
         started = loop.time()
         try:
             if len(group) == 1:
-                # Zero-copy lift for the singleton fast path.
+                # Zero-copy lift for a singleton batch.
                 queries = np.asarray(group[0].query)[None]
             else:
                 queries = np.stack([pending.query for pending in group])

@@ -1,11 +1,14 @@
 """Pool autoscaling from the coalescer's queue-depth gauge.
 
-PR 5 exposed the signal (``ServerStats.coalescer_queue_depth``); this
-module is its consumer.  The control loop is intentionally boring —
+The signal is ``ServerStats.coalescer_queue_depth``; this module is its
+consumer.  The coalescer is work-conserving — a request parks only
+while every pool worker is busy — so the depth is a real backlog: it
+reads zero whenever the pool keeps up, and grows only when arrivals
+outrun the workers.  The control loop is intentionally boring —
 boring controllers are the ones whose behaviour operators can predict:
 
 * every tick, read the **queue depth** (requests parked in the
-  coalescer, waiting for a flush) and the **EWMA service time** (the
+  coalescer behind busy workers) and the **EWMA service time** (the
   coalescer's own estimate of how long a dispatched batch takes);
 * their product is the *backlog* in seconds — how long the queue would
   take to drain right now.  Depth alone is the wrong unit: 30 parked

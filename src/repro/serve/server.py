@@ -24,19 +24,18 @@ The request path composes the three serving primitives::
   single-writer path — applied to every replica in order, parity
   checked — and clear the cache.
 
-Two scaling knobs extend the picture past one thread and one process:
-
-* ``adaptive_wait=True`` lets the coalescer size its flush window from
-  the observed arrival/service rates (confirmed-sparse singletons
-  additionally dispatch inline, skipping the executor hop), so sparse
-  traffic is served at near-direct-search latency while bursts still
-  batch;
-* ``pool=`` hands micro-batches to a :class:`~repro.serve.procpool.
-  ProcReplicaPool` — N worker processes attached zero-copy to the
-  primary's shared-memory segments — for true parallelism beyond the
-  GIL; the write path then republishes the segments inside the same
-  single-writer critical section, so a completed write is visible to
-  every worker before any new read is admitted.
+The coalescer batches only while the backend is busy.  Its dispatch
+slots are the replicas, or the pool's workers when ``pool=`` hands
+micro-batches to a :class:`~repro.serve.procpool.ProcReplicaPool` (N
+worker processes attached zero-copy to the primary's shared-memory
+segments, for true parallelism beyond the GIL).  While a slot is free a
+request dispatches on the next loop tick; an unpooled server runs a
+lone request inline on the loop, skipping the executor hop, when
+nothing else is in flight.  While every slot is busy, arrivals park and
+go out together when a slot frees (``max_wait_ms`` caps the park).  A
+pooled write republishes the segments inside the same single-writer
+critical section, so a completed write is visible to every worker
+before any new read is admitted.
 
 Every answer is bit-identical to calling ``FerexIndex.search``
 directly: batching rides the index's bit-identical batch path, cached
@@ -49,6 +48,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -72,8 +72,8 @@ class FerexServer:
         construction), or a single index for an unreplicated server.
         Optional when ``pool`` is given (the pool's primary is used).
     max_batch_size / max_wait_ms:
-        Coalescing knobs: flush a micro-batch at this size, or this
-        long after its oldest request, whichever comes first.
+        Coalescing knobs: a micro-batch flushes at this size, and no
+        request parks behind busy slots for longer than this.
     cache_size:
         Query-cache capacity; ``0`` disables caching.
     cache_policy:
@@ -92,9 +92,6 @@ class FerexServer:
         answer identically, but mixing the two routing layers would
         double-apply writes); the server republishes the pool on every
         write.  The caller owns the pool's lifecycle.
-    adaptive_wait:
-        Enable the coalescer's adaptive flush window (see
-        :class:`RequestCoalescer`); ``max_wait_ms`` stays the ceiling.
     """
 
     def __init__(
@@ -106,7 +103,6 @@ class FerexServer:
         cache_policy: str = "lru",
         policy: str = "least_loaded",
         pool: Optional[ProcReplicaPool] = None,
-        adaptive_wait: bool = False,
     ):
         if replicas is None:
             if pool is None:
@@ -132,7 +128,6 @@ class FerexServer:
                     "index was mutated after the pool published; call "
                     "pool.republish() before putting a server in front"
                 )
-        self._adaptive = adaptive_wait
         self._republish_error: Optional[BaseException] = None
         self.stats = ServerStats()
         self._cache = QueryCache(cache_size, policy=cache_policy)
@@ -141,16 +136,16 @@ class FerexServer:
         # through the stats snapshot.
         self.stats.cache_probe = self._cache.snapshot
         # The autoscaling signals: stats snapshots read the coalescer's
-        # pending-queue depth (and its EWMAs / deadline drops) live
-        # through these probes.
+        # pending-queue depth (and its service EWMA, busy slots and
+        # deadline drops) live through these probes.
         self.stats.queue_depth_probe = lambda: self._coalescer.n_pending
         self.stats.register_gauge(
             "coalescer_ewma_service_s",
             lambda: self._coalescer.ewma_service_s,
         )
         self.stats.register_gauge(
-            "coalescer_ewma_gap_s",
-            lambda: self._coalescer.ewma_gap_s,
+            "coalescer_inflight",
+            lambda: self._coalescer.n_inflight,
         )
         self.stats.register_gauge(
             "n_deadline_drops",
@@ -176,14 +171,18 @@ class FerexServer:
             max_batch_size=max_batch_size,
             max_wait_ms=max_wait_ms,
             on_batch=self.stats.record_batch,
-            adaptive_wait=adaptive_wait,
-            # Only the coalescer's confirmed-sparse singleton fast path
-            # may block the loop with a direct search; a pooled read is
-            # pipe-bound and stays on the executor regardless.
+            # Read live: a pool's grow()/shrink() applies at once.
+            slots=(
+                (lambda: pool.n_workers)
+                if pool is not None
+                else (lambda: self._router.n_replicas)
+            ),
+            # A lone request with nothing in flight searches on the
+            # loop itself: the loop stalls for exactly that answer's
+            # latency, and no other batch waits on it.  A pooled read
+            # is pipe-bound and stays on the executor regardless.
             inline_dispatch=(
-                self._dispatch_inline
-                if adaptive_wait and pool is None
-                else None
+                partial(self._dispatch, inline=True) if pool is None else None
             ),
         )
         self._closed = False
@@ -342,22 +341,12 @@ class FerexServer:
             distances=np.stack([r.distances for r in results]),
         )
 
-    async def _dispatch_inline(self, queries: np.ndarray, k: int):
-        """Dispatch variant for the coalescer's sparse-traffic
-        singleton fast path: the search runs on the event loop itself.
-        The loop stalls for exactly the answer's own latency, which is
-        acceptable precisely because the fast path only fires when
-        nothing else is in flight — timer- and size-triggered batches
-        (even size-1 k-groups inside a burst) never come through here.
-        """
-        return await self._dispatch(queries, k, inline=True)
-
     async def _run_search(
         self, replica, queries: np.ndarray, k: int, inline: bool
     ) -> SearchOutcome:
         """Evaluate one (sub-)batch on the right substrate: a pool
-        worker process, inline on the loop (sparse singleton fast
-        path), or the default executor thread."""
+        worker process, inline on the loop (a lone request), or the
+        default executor thread."""
         if self._pool is not None:
             loop = asyncio.get_running_loop()
             return await loop.run_in_executor(

@@ -78,7 +78,8 @@ class ServerStats:
         #: bench artifacts see cache behaviour per era.
         self.cache_probe: Optional[Callable[[], dict]] = None
         #: Extra named gauges folded into every snapshot (the server
-        #: registers the coalescer EWMAs and deadline-drop count here).
+        #: registers the coalescer's service EWMA, busy slots and
+        #: deadline-drop count here).
         self._gauges: dict = {}
         self._started = self._clock()
 

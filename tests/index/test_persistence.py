@@ -1,5 +1,8 @@
 """save/load round trips: configuration, ids, tombstones, bit-identity."""
 
+import io
+import os
+
 import numpy as np
 import pytest
 
@@ -92,6 +95,36 @@ class TestRoundTrip:
         assert (tmp_path / "myindex.npz").exists()
         loaded = FerexIndex.load(bare)
         assert loaded.ntotal == 40
+
+    def test_failed_save_keeps_the_previous_file(
+        self, stored, queries, tmp_path, monkeypatch
+    ):
+        """A save that dies partway through its write leaves the last
+        good file in place, bit-identical, and no temporary behind."""
+        index = FerexIndex(dims=8, metric="hamming", bits=2, bank_rows=16)
+        index.add(stored[:30])
+        path = tmp_path / "index.npz"
+        index.save(path)
+        saved = path.read_bytes()
+        before = FerexIndex.load(path).search(queries, k=3)
+
+        real = np.savez_compressed
+
+        def torn(file, **arrays):
+            buffer = io.BytesIO()
+            real(buffer, **arrays)
+            file.write(buffer.getvalue()[: len(buffer.getvalue()) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez_compressed", torn)
+        index.add(stored[30:])
+        with pytest.raises(OSError, match="disk full"):
+            index.save(path)
+        assert path.read_bytes() == saved
+        assert os.listdir(tmp_path) == ["index.npz"]
+        after = FerexIndex.load(path).search(queries, k=3)
+        assert np.array_equal(before.ids, after.ids)
+        assert np.array_equal(before.distances, after.distances)
 
     def test_adds_continue_after_load(self, stored, queries, tmp_path):
         """A reloaded index is a live index: further adds land in the

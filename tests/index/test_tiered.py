@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.distance import get_metric
 from repro.index import FerexIndex, TieredBackend
+from repro.index.backends import rank_candidates
 
 DIMS = 8
 BITS = 3
@@ -232,6 +233,28 @@ class TestTieredBackend:
         np.testing.assert_array_equal(
             result.distances, np.take_along_axis(rescored, order, axis=1)
         )
+
+    @pytest.mark.parametrize("n, m", [(4, 16), (32, 256)])
+    def test_rank_candidates_is_the_distance_position_lexsort(
+        self, rng, n, m
+    ):
+        """The shared rescore ranking equals ``lexsort((positions,
+        distances))`` on tie-heavy rows with padded ``+inf`` tails
+        (the routed union's shape), on both sides of the selector's
+        size crossover."""
+        positions = np.sort(rng.choice(10 * m, size=(n, m)), axis=1)
+        distances = rng.integers(0, 4, size=(n, m)).astype(float)
+        positions[:, -3:] = 2**62
+        distances[:, -3:] = np.inf
+        for k in (1, 5, m - 3, m):
+            order = np.lexsort((positions, distances))[:, :k]
+            ids, dist = rank_candidates(positions, distances, k)
+            np.testing.assert_array_equal(
+                ids, np.take_along_axis(positions, order, axis=1)
+            )
+            np.testing.assert_array_equal(
+                dist, np.take_along_axis(distances, order, axis=1)
+            )
 
     def test_compact_keeps_parity(self, stored, queries):
         index = build(stored, backend="tiered")

@@ -180,7 +180,7 @@ class TestDecisionLogic:
 
 
 def test_surge_grows_and_drain_shrinks_over_the_wire(
-    make_index, queries
+    make_index, queries, hold_slot
 ):
     """The acceptance path: live wire traffic builds real queue depth,
     the running control loop grows the pool; after the drain it shrinks
@@ -189,8 +189,8 @@ def test_surge_grows_and_drain_shrinks_over_the_wire(
     async def main():
         index = make_index()
         reference = index.search(queries, k=3)
-        # A wide flush window guarantees a sustained queue-depth
-        # plateau while the burst is parked.
+        # A busy slot plus a wide flush ceiling guarantee a sustained
+        # queue-depth plateau while the burst is parked.
         async with FerexServer(
             index, max_batch_size=256, max_wait_ms=80.0, cache_size=0
         ) as server:
@@ -218,19 +218,20 @@ def test_surge_grows_and_drain_shrinks_over_the_wire(
                     for _ in range(len(queries))
                 ]
                 try:
-                    responses = await asyncio.gather(
-                        *(
-                            client.request(
-                                "POST",
-                                "/v1/search",
-                                json_body={
-                                    "query": queries[row].tolist(),
-                                    "k": 3,
-                                },
+                    async with hold_slot(server):
+                        responses = await asyncio.gather(
+                            *(
+                                client.request(
+                                    "POST",
+                                    "/v1/search",
+                                    json_body={
+                                        "query": queries[row].tolist(),
+                                        "k": 3,
+                                    },
+                                )
+                                for row, client in enumerate(clients)
                             )
-                            for row, client in enumerate(clients)
                         )
-                    )
                 finally:
                     for client in clients:
                         await client.close()

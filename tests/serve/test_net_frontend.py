@@ -165,10 +165,11 @@ def test_admission_sheds_beyond_budget_with_retry_after(
     run(main())
 
 
-def test_deadline_expiry_is_shed_with_503(make_index):
-    """A deadline shorter than the flush window expires while parked:
-    the coalescer drops it before dispatch, the wire answers 503 +
-    Retry-After, and the drop is visible in /metrics."""
+def test_deadline_expiry_is_shed_with_503(make_index, hold_slot):
+    """A deadline shorter than the flush ceiling expires while parked
+    behind a busy slot: the coalescer drops it before dispatch, the
+    wire answers 503 + Retry-After, and the drop is visible in
+    /metrics."""
 
     async def main():
         async with FerexServer(
@@ -180,11 +181,12 @@ def test_deadline_expiry_is_shed_with_503(make_index):
                 async with await HttpClient.connect(
                     "127.0.0.1", frontend.bound_port
                 ) as client:
-                    response = await client.request(
-                        "POST",
-                        "/v1/search",
-                        json_body={"query": [0] * DIMS, "k": 1},
-                    )
+                    async with hold_slot(server):
+                        response = await client.request(
+                            "POST",
+                            "/v1/search",
+                            json_body={"query": [0] * DIMS, "k": 1},
+                        )
                     assert response.status == 503
                     assert response.retry_after_s is not None
                     metrics = await client.request("GET", "/metrics")

@@ -61,7 +61,6 @@ def test_mixed_read_write_soak(make_index, queries):
             max_batch_size=8,
             max_wait_ms=1.0,
             cache_size=64,
-            adaptive_wait=True,
         )
         wave_rng = np.random.default_rng(2024)
         served = 0

@@ -91,7 +91,9 @@ def test_live_server_snapshot_round_trips(make_index, queries):
             # The registered serving gauges are present and plain.
             assert snap["n_deadline_drops"] == 0
             assert snap["coalescer_ewma_service_s"] >= 0.0
-            assert snap["coalescer_ewma_gap_s"] >= 0.0
+            # Busy dispatch slots: a plain int, idle after the traffic.
+            assert snap["coalescer_inflight"] == 0
+            assert type(snap["coalescer_inflight"]) is int
             # Transport counters are registered even without a pool
             # (and read as plain zero ints).
             assert snap["n_slab_dispatches"] == 0
@@ -103,5 +105,20 @@ def test_live_server_snapshot_round_trips(make_index, queries):
             assert cache["invalidations"] >= 1  # add + reconfigure
             assert cache["window_hits"] <= cache["hits"]
             assert "sketch" in cache["policy"]
+
+    asyncio.run(main())
+
+
+def test_inflight_gauge_reads_busy_slots(make_index, hold_slot):
+    """``coalescer_inflight`` counts batches on the backend right now:
+    one while a slot is held busy, back to zero once it frees."""
+
+    async def main():
+        async with FerexServer(make_index()) as server:
+            async with hold_slot(server):
+                snap = server.stats.snapshot()
+                assert snap["coalescer_inflight"] == 1
+                assert json.loads(json.dumps(snap)) == snap
+            assert server.stats.snapshot()["coalescer_inflight"] == 0
 
     asyncio.run(main())
